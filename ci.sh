@@ -167,6 +167,12 @@ target/release/bitgen-serve shutdown --socket "$DSOCK" 2>/dev/null
 wait "$DRAIN_PID" || { echo "drain drill: successor daemon exited nonzero" >&2; exit 1; }
 trap 'rm -rf "$SWAPDIR" "$SERVEDIR" "$DRAINDIR"; rm -f "$CKPT"' EXIT
 
+# Host benchmark self-test: every workload (bitgrep file scan, scan_many
+# batch find, the serve daemon) at tiny scale, each run checked against
+# its reference answers, the modelled GPU seconds repeating bit for bit
+# across traced runs, and a corrupted reference caught as a failure.
+python3 hostbench/selftest.py
+
 # Compile-pipeline bench smoke: one abbreviated run so a pathological
 # compile-time regression fails CI instead of only slowing nightly
 # benches. (The bench binary itself keeps sample counts low.)

@@ -6,17 +6,16 @@ use crate::blit::blit_or;
 use crate::metrics::ExecMetrics;
 use crate::scheme::Scheme;
 use crate::segment::{intermediate_count, segment_program, Segment, SegmentKind};
-use bitgen_bitstream::{compile_class, Basis, BitStream};
-use bitgen_gpu::{Cta, FaultKind, FaultPlan, RaceError, WindowInputs};
+use bitgen_bitstream::{Basis, BitStream, CcExpr};
+use bitgen_gpu::{Cta, CtaCounters, FaultKind, FaultPlan, RaceError, WindowInputs};
 use bitgen_ir::{
-    carry_slot_count, try_interpret, try_interpret_chunk, CarryState, DefUse, InterpError,
-    Interrupt, Op, Program, RunControl, Stmt, StreamId,
+    op_count, try_interpret, try_interpret_chunk, CarryState, DefUse, InterpError, Interrupt, Op,
+    Program, Registers, RunControl, Stmt, StreamId, WalkObserver,
 };
 use bitgen_kernel::{compile, CodegenOptions, WORD_BITS};
 use bitgen_passes::{
     insert_zero_skips_with, rebalance_with, Hull, OverlapInfo, PassMetrics, ZbsConfig,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -55,8 +54,14 @@ pub struct ExecConfig {
     /// hook — proves the runtime checks catch corrupted execution).
     pub fault: Option<FaultPlan>,
     /// Validate the final outputs against the reference interpreter and
-    /// fail with [`ExecError::CrossCheckMismatch`] on any difference.
-    /// Roughly doubles scan cost; meant for hardening and fault drills.
+    /// fail with [`ExecError::CrossCheckMismatch`] on any difference
+    /// (streaming windows also compare carries, see
+    /// [`ExecError::CarryDiverged`]). The interpreter is the same walker
+    /// that runs sequential segments and streaming windows, so this
+    /// catches corruption injected or occurring outside that shared walk
+    /// (a fused CTA run, a flipped value, a corrupted carry), not a bug in
+    /// the walk itself. Roughly doubles scan cost; meant for hardening and
+    /// fault drills.
     pub cross_check: bool,
 }
 
@@ -205,58 +210,11 @@ impl From<InterpError> for ExecError {
     }
 }
 
-/// Reusable executor scratch: the stream environment plus a pool of
-/// recycled bit-stream buffers.
-///
-/// [`execute_prepared_with`] draws window output buffers from the pool
-/// and returns every intermediate to it afterwards, so a caller that
-/// scans many same-sized inputs with one scratch reaches a steady state
-/// where no per-call heap growth occurs. A fresh scratch behaves
-/// exactly like the scratch-free entry points — pooling never changes
-/// outputs or metrics, only where the buffers come from.
-#[derive(Debug, Clone, Default)]
-pub struct ExecScratch {
-    env: HashMap<StreamId, BitStream>,
-    pool: Vec<BitStream>,
-}
-
-impl ExecScratch {
-    /// An empty scratch with no buffers.
-    pub fn new() -> ExecScratch {
-        ExecScratch::default()
-    }
-
-    /// Total words of capacity currently held by recycled buffers.
-    /// Exposed so reuse tests can assert capacity stability.
-    pub fn pooled_words(&self) -> usize {
-        self.pool.iter().map(BitStream::capacity_words).sum()
-    }
-
-    /// Number of recycled buffers currently pooled.
-    pub fn pooled_streams(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// A zeroed stream of `len` bits, reusing a pooled buffer if one is
-    /// available.
-    fn take_zeros(&mut self, len: usize) -> BitStream {
-        match self.pool.pop() {
-            Some(mut s) => {
-                s.reset_zeros(len);
-                s
-            }
-            None => BitStream::zeros(len),
-        }
-    }
-
-    /// Replaces the pool with this call's environment streams, bounding
-    /// the pool at one call's working-set size so repeated scans cannot
-    /// grow it without limit.
-    fn recycle(&mut self) {
-        self.pool.clear();
-        self.pool.extend(self.env.drain().map(|(_, s)| s));
-    }
-}
+/// Reusable executor scratch: the sequential walker's register file,
+/// whose spare buffers [`execute_prepared_with`] recycles across calls.
+/// Pooling never changes outputs or metrics, only where buffers come
+/// from.
+pub type ExecScratch = Registers;
 
 /// Result of executing a program.
 #[derive(Debug, Clone)]
@@ -432,7 +390,7 @@ pub fn execute_prepared_ctl(
         threads: config.threads,
         ..ExecMetrics::default()
     };
-    scratch.env.clear();
+    scratch.reset(prog.num_streams() as usize);
     let (fault_fired, windows_launched) = {
         let mut cx = ExecCtx {
             config,
@@ -451,18 +409,15 @@ pub fn execute_prepared_ctl(
                             if config.fallback == FallbackPolicy::Sequential =>
                         {
                             cx.metrics.fallbacks += 1;
-                            run_sequential(seg, basis, &mut scratch.env, &mut cx)?;
+                            run_sequential(seg, basis, scratch, &mut cx)?;
                         }
                         Err(e) => return Err(e),
                     }
                 }
-                SegmentKind::Sequential => {
-                    run_sequential(seg, basis, &mut scratch.env, &mut cx)?
-                }
+                SegmentKind::Sequential => run_sequential(seg, basis, scratch, &mut cx)?,
             }
-            let resident: usize = scratch.env.values().map(|s| s.len().div_ceil(8)).sum();
             cx.metrics.peak_materialized_bytes =
-                cx.metrics.peak_materialized_bytes.max(resident);
+                cx.metrics.peak_materialized_bytes.max(scratch.resident_bytes());
         }
         (cx.fault_fired, cx.windows_launched)
     };
@@ -473,19 +428,9 @@ pub fn execute_prepared_ctl(
         });
     }
     metrics.window_iterations = metrics.counters.window_iterations;
-    let outputs: Vec<BitStream> = prog
-        .outputs()
-        .iter()
-        .map(|id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
-        .collect();
-    scratch.recycle();
+    let outputs = collect_outputs(prog, scratch, stream_len);
     if config.cross_check {
-        let reference = try_interpret(prog, basis, ctl)?;
-        for (i, (got, want)) in outputs.iter().zip(&reference.outputs).enumerate() {
-            if got != want {
-                return Err(ExecError::CrossCheckMismatch { output: i });
-            }
-        }
+        cross_check(&outputs, &try_interpret(prog, basis, ctl)?.outputs)?;
     }
     Ok(ExecOutcome { outputs, metrics, fault_fired })
 }
@@ -515,28 +460,13 @@ fn execute_streaming_window(
 ) -> Result<ExecOutcome, ExecError> {
     let stream_len = Program::stream_len(basis.len());
     let mut metrics = ExecMetrics { segments: 1, threads: config.threads, ..ExecMetrics::default() };
-    scratch.env.clear();
+    scratch.reset(prog.num_streams() as usize);
     let reference = config.cross_check.then(|| carry.fork());
     let expected_slots = carry.slot_count() as u64;
-    let (run_result, walk_end, fault_state, issued, stored) = {
-        let mut seq = SeqExec {
-            basis,
-            env: &mut scratch.env,
-            metrics: &mut metrics,
-            stream_len,
-            passes: stream_len.div_ceil(config.window_bits()) as u64,
-            words: stream_len.div_ceil(WORD_BITS) as u64,
-            ctl,
-            carry: Some(SeqCarry { state: carry, next: 0 }),
-            fault: config.fault.map(StreamFault::new),
-            issued: 0,
-            stored: 0,
-        };
-        let result = seq.run(prog.stmts());
-        let walk = seq.carry.as_ref().map_or(0, |c| c.next) as u64;
-        (result, walk, seq.fault.take(), seq.issued, seq.stored)
-    };
-    run_result?;
+    let mut meter = Meter::new(config, stream_len, &mut metrics.counters);
+    meter.fault = config.fault.map(StreamFault::new);
+    let walk = scratch.walk(prog.stmts(), basis, ctl, Some(&mut *carry), &mut meter)?;
+    let Meter { issued, stored, fault, .. } = meter;
     // Always-on lost-store invariant: every issued instruction commits
     // exactly one store; a shortfall means a write was dropped, leaving
     // a stale value behind that no later check can tell from a real one.
@@ -547,31 +477,38 @@ fn execute_streaming_window(
     // program's slots in pre-order; any other count means the walk (or a
     // corrupted counter) desynchronised from the layout, and the carries
     // that were read/written are untrustworthy.
-    let observed = walk_end + fault_state.as_ref().map_or(0, |f| f.counter_bump);
+    let observed = walk.carry_slots as u64 + fault.as_ref().map_or(0, |f| f.counter_bump);
     if observed != expected_slots {
         return Err(ExecError::CounterMismatch { expected: expected_slots, observed });
     }
-    let resident: usize = scratch.env.values().map(|s| s.len().div_ceil(8)).sum();
-    metrics.peak_materialized_bytes = metrics.peak_materialized_bytes.max(resident);
-    let outputs: Vec<BitStream> = prog
-        .outputs()
-        .iter()
-        .map(|id| scratch.env.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
-        .collect();
-    scratch.recycle();
+    metrics.peak_materialized_bytes = scratch.resident_bytes();
+    let outputs = collect_outputs(prog, scratch, stream_len);
     if let Some(mut fork) = reference {
-        let want = try_interpret_chunk(prog, basis, ctl, &mut fork)?;
-        for (i, (got, want)) in outputs.iter().zip(&want.outputs).enumerate() {
-            if got != want {
-                return Err(ExecError::CrossCheckMismatch { output: i });
-            }
-        }
+        cross_check(&outputs, &try_interpret_chunk(prog, basis, ctl, &mut fork)?.outputs)?;
         if fork != *carry {
             return Err(ExecError::CarryDiverged);
         }
     }
-    let fault_fired = fault_state.as_ref().is_some_and(|f| f.fired);
+    let fault_fired = fault.is_some_and(|f| f.fired);
     Ok(ExecOutcome { outputs, metrics, fault_fired })
+}
+
+/// Fails with [`ExecError::CrossCheckMismatch`] at the first output that
+/// differs from the reference interpreter's.
+fn cross_check(got: &[BitStream], want: &[BitStream]) -> Result<(), ExecError> {
+    match got.iter().zip(want).position(|(g, w)| g != w) {
+        Some(output) => Err(ExecError::CrossCheckMismatch { output }),
+        None => Ok(()),
+    }
+}
+
+/// Copies of the program's outputs from the register file; an output no
+/// instruction wrote (a skipped guard body) is all zeros.
+fn collect_outputs(prog: &Program, regs: &Registers, stream_len: usize) -> Vec<BitStream> {
+    prog.outputs()
+        .iter()
+        .map(|&id| regs.get(id).cloned().unwrap_or_else(|| BitStream::zeros(stream_len)))
+        .collect()
 }
 
 /// Mutable state threaded through one execution: the run's metrics, its
@@ -595,7 +532,7 @@ fn run_fused(
     seg: &Segment,
     prog: &Program,
     basis: &Basis,
-    scratch: &mut ExecScratch,
+    regs: &mut Registers,
     cx: &mut ExecCtx<'_>,
 ) -> Result<(), ExecError> {
     let config = cx.config;
@@ -626,9 +563,12 @@ fn run_fused(
         return Err(ExecError::OverlapOverflow { required: info.base, capacity });
     }
 
-    let globals: Vec<BitStream> = seg.inputs.iter().map(|id| scratch.env[id].clone()).collect();
-    let mut outs: Vec<BitStream> =
-        seg.outputs.iter().map(|_| scratch.take_zeros(stream_len)).collect();
+    let globals = seg
+        .inputs
+        .iter()
+        .map(|&id| regs.get(id).cloned().ok_or(ExecError::UnwrittenStream { id }))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut outs: Vec<BitStream> = seg.outputs.iter().map(|_| regs.take_zeros(stream_len)).collect();
     let mut cta = Cta::new(kernel, config.threads);
     if let Some(plan) = config.fault {
         cta.arm_fault(plan);
@@ -706,8 +646,8 @@ fn run_fused(
         metrics.dynamic_overlap_avg = metrics.dynamic_overlap_avg.max(avg);
         metrics.dynamic_overlap_max = metrics.dynamic_overlap_max.max(dyn_max);
     }
-    for (id, s) in seg.outputs.iter().zip(outs) {
-        scratch.env.insert(*id, s);
+    for (&id, s) in seg.outputs.iter().zip(outs) {
+        regs.set(id, s);
     }
     Ok(())
 }
@@ -718,37 +658,120 @@ fn run_fused(
 fn run_sequential(
     seg: &Segment,
     basis: &Basis,
-    env: &mut HashMap<StreamId, BitStream>,
+    regs: &mut Registers,
     cx: &mut ExecCtx<'_>,
 ) -> Result<(), ExecError> {
-    let stream_len = cx.stream_len;
-    let passes = stream_len.div_ceil(cx.config.window_bits()) as u64;
-    let words = stream_len.div_ceil(WORD_BITS) as u64;
-    let mut seq = SeqExec {
-        basis,
-        env,
-        metrics: &mut *cx.metrics,
-        stream_len,
-        passes,
-        words,
-        ctl: cx.ctl,
-        carry: None,
-        fault: None,
-        issued: 0,
-        stored: 0,
-    };
-    seq.run(&seg.stmts)
+    let mut meter = Meter::new(cx.config, cx.stream_len, &mut cx.metrics.counters);
+    regs.walk(&seg.stmts, basis, cx.ctl, None, &mut meter)?;
+    Ok(())
 }
 
-/// Deterministic fault injection for the sequential streaming executor —
-/// the streaming counterpart of the CTA emulator's `arm_fault`. The plan's
-/// `trigger` counts *executed ops* (loop trips re-count their bodies, so
-/// the firing point is deterministic for a given program and chunk) and
-/// each kind maps onto this path's failure surface:
+/// The executor's [`WalkObserver`]: charges each sequentially executed
+/// instruction its modelled cost (Fig. 5: one loop over the stream per
+/// instruction, every value loaded from and stored to global memory) and,
+/// in streaming windows, injects the armed [`StreamFault`] and tallies
+/// issued instructions against committed stores.
+struct Meter<'a> {
+    counters: &'a mut CtaCounters,
+    /// Block iterations per full pass.
+    passes: u64,
+    /// 32-bit words per full stream.
+    words: u64,
+    /// Armed fault, streaming windows only: batch sequential segments run
+    /// their drills through the CTA emulator instead.
+    fault: Option<StreamFault>,
+    /// Instructions issued; paired with `stored` for the streaming
+    /// lost-store invariant.
+    issued: u64,
+    /// Stores committed to the register file.
+    stored: u64,
+}
+
+impl<'a> Meter<'a> {
+    fn new(config: &ExecConfig, stream_len: usize, counters: &'a mut CtaCounters) -> Meter<'a> {
+        Meter {
+            counters,
+            passes: stream_len.div_ceil(config.window_bits()) as u64,
+            words: stream_len.div_ceil(WORD_BITS) as u64,
+            fault: None,
+            issued: 0,
+            stored: 0,
+        }
+    }
+}
+
+impl WalkObserver for Meter<'_> {
+    fn issue(&mut self, op: &Op, circuit: Option<&CcExpr>) {
+        // Binary ops load both operands; shifts load two adjacent blocks
+        // per block.
+        let (alu, loads) = match op {
+            Op::MatchCc { .. } => {
+                (circuit.map_or(0, CcExpr::gate_count) as u64 * self.passes, 8 * self.words)
+            }
+            Op::And { .. }
+            | Op::Or { .. }
+            | Op::Add { .. }
+            | Op::Xor { .. }
+            | Op::Advance { .. }
+            | Op::Retreat { .. } => (self.passes, 2 * self.words),
+            Op::Not { .. } | Op::Assign { .. } => (self.passes, self.words),
+            Op::Zero { .. } | Op::Ones { .. } => (self.passes, 0),
+        };
+        let c = &mut *self.counters;
+        c.alu_ops += alu;
+        c.global_load_words += loads;
+        c.global_store_words += self.words;
+        // One barrier between consecutive instruction loops (Fig. 5b).
+        c.barriers += 1;
+        self.issued += 1;
+    }
+
+    fn guard(&mut self) {
+        self.counters.reductions += 1;
+    }
+
+    fn skip(&mut self, body: &[Stmt]) {
+        self.counters.skipped_ops += op_count(body) as u64 * self.passes;
+    }
+
+    fn store(&mut self, value: &mut BitStream, carry: Option<&mut CarryState>) -> bool {
+        if let Some(fault) = &mut self.fault {
+            if !fault.fired {
+                fault.ops_seen += 1;
+                if fault.ops_seen >= fault.plan.trigger.max(1) {
+                    fault.fired = true;
+                    match fault.plan.kind {
+                        FaultKind::Panic => panic!("injected fault: streaming window panic"),
+                        FaultKind::SmemFlip => flip_bit(value, fault.plan.seed),
+                        // A lost store: the destination keeps whatever it
+                        // held before this instruction.
+                        FaultKind::SkipBarrier => return false,
+                        FaultKind::CorruptTrips => match carry {
+                            Some(c) => c.corrupt_outgoing(fault.plan.seed),
+                            None => flip_bit(value, fault.plan.seed),
+                        },
+                        FaultKind::CorruptCounter => {
+                            fault.counter_bump = 1 + fault.plan.seed % 3;
+                        }
+                    }
+                }
+            }
+        }
+        self.stored += 1;
+        true
+    }
+}
+
+/// Deterministic fault injection for streaming windows — the streaming
+/// counterpart of the CTA emulator's `arm_fault`, applied by [`Meter`] as
+/// the shared walk stores each value. The plan's `trigger` counts
+/// *executed ops* (loop trips re-count their bodies, so the firing point
+/// is deterministic for a given program and chunk) and each kind maps
+/// onto this path's failure surface:
 ///
 /// - `SmemFlip`: flips one seed-selected bit of the op's computed value
 ///   (caught by cross-check, or masked if the bit is dead);
-/// - `SkipBarrier`: drops the op's write — a lost store (caught by the
+/// - `SkipBarrier`: drops the op's store — a lost store (caught by the
 ///   always-on store-count invariant as [`ExecError::StoreElided`]);
 /// - `CorruptTrips`: flips a bit in a carry slot's *outgoing* buffer via
 ///   [`CarryState::corrupt_outgoing`] (caught by the cross-check carry
@@ -756,6 +779,9 @@ fn run_sequential(
 /// - `CorruptCounter`: inflates the slot-walk count reported after the
 ///   window (caught by the always-on walk invariant);
 /// - `Panic`: panics mid-window (isolated by the caller's `catch_unwind`).
+///
+/// The faults land outside the walk, which the cross-check replay shares:
+/// the checks catch corrupted values, stores and carries, not walk bugs.
 struct StreamFault {
     plan: FaultPlan,
     ops_seen: u32,
@@ -770,201 +796,6 @@ impl StreamFault {
     }
 }
 
-/// Streaming slot walk mirrored by [`SeqExec`] — see
-/// [`CarryState::for_program`] for the layout contract.
-struct SeqCarry<'a> {
-    state: &'a mut CarryState,
-    next: usize,
-}
-
-impl SeqCarry<'_> {
-    fn take_slot(&mut self) -> usize {
-        let s = self.next;
-        self.next += 1;
-        s
-    }
-}
-
-struct SeqExec<'a> {
-    basis: &'a Basis,
-    env: &'a mut HashMap<StreamId, BitStream>,
-    metrics: &'a mut ExecMetrics,
-    stream_len: usize,
-    /// Block iterations per full pass.
-    passes: u64,
-    /// 32-bit words per full stream.
-    words: u64,
-    ctl: &'a RunControl,
-    /// `Some` when executing one streaming window with cross-chunk
-    /// carries; `None` for ordinary whole-stream sequential segments.
-    carry: Option<SeqCarry<'a>>,
-    /// Armed fault, streaming windows only ([`execute_streaming_window`]
-    /// sets it from [`ExecConfig::fault`]); batch sequential segments run
-    /// their drills through the CTA emulator instead.
-    fault: Option<StreamFault>,
-    /// Instructions issued by [`SeqExec::exec`]; paired with `stored`
-    /// for the streaming lost-store invariant.
-    issued: u64,
-    /// Stores committed to the environment.
-    stored: u64,
-}
-
-impl SeqExec<'_> {
-    fn run(&mut self, stmts: &[Stmt]) -> Result<(), ExecError> {
-        for stmt in stmts {
-            if !self.ctl.is_unlimited() {
-                self.ctl.check()?;
-            }
-            match stmt {
-                Stmt::Op(op) => self.exec(op)?,
-                Stmt::If { cond, body } => {
-                    self.metrics.counters.reductions += 1;
-                    // Streaming: a pending carry inside the body means a
-                    // marker crossed the chunk boundary, so the body must
-                    // run even when its guard is locally empty.
-                    let (pending, layout) = self.body_carry(body);
-                    if self.get(*cond)?.any() || pending {
-                        self.run(body)?;
-                    } else {
-                        self.metrics.counters.skipped_ops += count_ops(body) * self.passes;
-                        if let (Some(c), Some((start, count))) = (&mut self.carry, layout) {
-                            c.next = start + count;
-                        }
-                    }
-                }
-                Stmt::While { cond, body } => {
-                    let (pending, layout) = self.body_carry(body);
-                    let mut force = pending;
-                    let mut fuel = self.stream_len + 2 + usize::from(force);
-                    loop {
-                        if let (Some(c), Some((start, _))) = (&mut self.carry, layout) {
-                            c.next = start;
-                        }
-                        if !(self.get(*cond)?.any() || force) {
-                            break;
-                        }
-                        force = false;
-                        if fuel == 0 {
-                            return Err(ExecError::FixpointDiverged);
-                        }
-                        fuel -= 1;
-                        self.metrics.counters.reductions += 1;
-                        self.run(body)?;
-                    }
-                    self.metrics.counters.reductions += 1;
-                    if let (Some(c), Some((start, count))) = (&mut self.carry, layout) {
-                        c.next = start + count;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Slot-walk bookkeeping for a guarded body: whether any of its
-    /// incoming carries are pending and where its slots start.
-    fn body_carry(&mut self, body: &[Stmt]) -> (bool, Option<(usize, usize)>) {
-        match &self.carry {
-            None => (false, None),
-            Some(c) => {
-                let start = c.next;
-                let count = carry_slot_count(body);
-                (c.state.pending(start..start + count), Some((start, count)))
-            }
-        }
-    }
-
-    fn exec(&mut self, op: &Op) -> Result<(), ExecError> {
-        // Issue and traffic accounting first (Fig. 5: one loop per
-        // instruction; shifts load two adjacent blocks per block).
-        let (alu, loads) = match op {
-            Op::MatchCc { class, .. } => {
-                (compile_class(class).gate_count() as u64 * self.passes, 8 * self.words)
-            }
-            Op::And { .. } | Op::Or { .. } | Op::Add { .. } | Op::Xor { .. } => {
-                (self.passes, 2 * self.words)
-            }
-            Op::Not { .. } | Op::Assign { .. } => (self.passes, self.words),
-            Op::Advance { .. } | Op::Retreat { .. } => (self.passes, 2 * self.words),
-            Op::Zero { .. } | Op::Ones { .. } => (self.passes, 0),
-        };
-        let c = &mut self.metrics.counters;
-        c.alu_ops += alu;
-        c.global_load_words += loads;
-        c.global_store_words += self.words;
-        // One barrier between consecutive instruction loops (Fig. 5b).
-        c.barriers += 1;
-        self.issued += 1;
-        let mut value = match op {
-            Op::MatchCc { class, .. } => {
-                // Word-group circuit evaluation straight into the
-                // window-length stream (peek position stays clear).
-                let mut s = BitStream::zeros(self.stream_len);
-                compile_class(class).eval_into(self.basis, &mut s);
-                s
-            }
-            Op::And { a, b, .. } => self.get(*a)?.and(self.get(*b)?),
-            Op::Or { a, b, .. } => self.get(*a)?.or(self.get(*b)?),
-            Op::Add { a, b, .. } => {
-                let (sa, sb) = (fetch(self.env, *a)?, fetch(self.env, *b)?);
-                match &mut self.carry {
-                    Some(c) => {
-                        let slot = c.take_slot();
-                        c.state.add_through(slot, sa, sb)
-                    }
-                    None => sa.add(sb),
-                }
-            }
-            Op::Xor { a, b, .. } => self.get(*a)?.xor(self.get(*b)?),
-            Op::Not { src, .. } => self.get(*src)?.not(),
-            Op::Advance { src, amount, .. } => {
-                let k = *amount as usize;
-                let s = fetch(self.env, *src)?;
-                match &mut self.carry {
-                    Some(c) => {
-                        let slot = c.take_slot();
-                        c.state.advance_through(slot, s, k)
-                    }
-                    None => s.advance(k),
-                }
-            }
-            Op::Retreat { src, amount, .. } => self.get(*src)?.retreat(*amount as usize),
-            Op::Assign { src, .. } => self.get(*src)?.clone(),
-            Op::Zero { .. } => BitStream::zeros(self.stream_len),
-            Op::Ones { .. } => BitStream::ones(self.stream_len),
-        };
-        if let Some(fault) = &mut self.fault {
-            if !fault.fired {
-                fault.ops_seen += 1;
-                if fault.ops_seen >= fault.plan.trigger.max(1) {
-                    fault.fired = true;
-                    match fault.plan.kind {
-                        FaultKind::Panic => panic!("injected fault: streaming window panic"),
-                        FaultKind::SmemFlip => flip_bit(&mut value, fault.plan.seed),
-                        // A lost store: the destination simply never gets
-                        // this window's value.
-                        FaultKind::SkipBarrier => return Ok(()),
-                        FaultKind::CorruptTrips => match &mut self.carry {
-                            Some(c) => c.state.corrupt_outgoing(fault.plan.seed),
-                            None => flip_bit(&mut value, fault.plan.seed),
-                        },
-                        FaultKind::CorruptCounter => {
-                            fault.counter_bump = 1 + fault.plan.seed % 3;
-                        }
-                    }
-                }
-            }
-        }
-        self.env.insert(op.dst(), value);
-        self.stored += 1;
-        Ok(())
-    }
-
-    fn get(&self, id: StreamId) -> Result<&BitStream, ExecError> {
-        fetch(self.env, id)
-    }
-}
-
 /// Flips one seed-selected bit of `value` (no-op on empty streams) —
 /// the bit-corruption primitive shared by the streaming fault kinds.
 fn flip_bit(value: &mut BitStream, seed: u64) {
@@ -976,32 +807,17 @@ fn flip_bit(value: &mut BitStream, seed: u64) {
     value.set(bit, !cur);
 }
 
-/// [`SeqExec::get`] without borrowing the whole executor, so carry ops
-/// can hold a stream reference while mutating the carry walk.
-fn fetch(env: &HashMap<StreamId, BitStream>, id: StreamId) -> Result<&BitStream, ExecError> {
-    env.get(&id).ok_or(ExecError::UnwrittenStream { id })
-}
-
-fn count_ops(stmts: &[Stmt]) -> u64 {
-    stmts
-        .iter()
-        .map(|s| match s {
-            Stmt::Op(_) => 1,
-            Stmt::If { body, .. } | Stmt::While { body, .. } => count_ops(body),
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bitgen_ir::{interpret, lower, lower_group};
-    use bitgen_regex::parse;
+    use bitgen_regex::{match_ends, parse};
 
     fn check_all_schemes(pattern: &str, input: &[u8]) {
-        let prog = lower(&parse(pattern).unwrap());
+        let ast = parse(pattern).unwrap();
+        let prog = lower(&ast);
         let basis = Basis::transpose(input);
-        let expect = interpret(&prog, &basis).outputs[0].positions();
+        let expect = match_ends(&ast, input);
         for scheme in Scheme::ALL {
             for threads in [2, 8] {
                 let config = ExecConfig { scheme, threads, ..ExecConfig::default() };
@@ -1306,16 +1122,17 @@ mod tests {
 
     #[test]
     fn streaming_windows_match_batch_execution() {
-        // The carry-parameterised executor path agrees with whole-stream
-        // interpretation under every chunking, unbounded patterns included.
+        // The carry-parameterised executor path agrees with the regex
+        // oracle under every chunking, unbounded patterns included.
         for (pat, input) in [
             ("a+b", &b"xaaab aab b ab"[..]),
             ("a(bc)*d", b"adxabcd.abcbcbcd"),
             ("a{2,}", b"aaaa a aaa"),
             ("(a|bb)*c", b"abbac bbc c"),
         ] {
-            let prog = lower(&parse(pat).unwrap());
-            let batch = interpret(&prog, &Basis::transpose(input)).union().positions();
+            let ast = parse(pat).unwrap();
+            let prog = lower(&ast);
+            let batch = match_ends(&ast, input);
             for chunk in [1usize, 2, 3, 7, 64] {
                 // cross_check = true replays every window through the
                 // reference chunk interpreter.
@@ -1414,5 +1231,152 @@ mod tests {
         }
         assert!(detected > 0, "sweep produced no detections at all");
         assert!(fired + detected > 10, "sweep barely exercised the fault machinery");
+    }
+
+    /// One streaming window of `a(bc)*d` over `chunk` from a fresh carry
+    /// state, with `plan` armed.
+    fn faulted_window(
+        chunk: &[u8],
+        plan: Option<FaultPlan>,
+        cross_check: bool,
+    ) -> Result<ExecOutcome, ExecError> {
+        let prog = lower(&parse("a(bc)*d").unwrap());
+        let mut carry = CarryState::for_program(&prog);
+        let config = ExecConfig { fault: plan, cross_check, ..ExecConfig::default() };
+        let basis = Basis::transpose(chunk);
+        execute_prepared_with(&prog, &basis, &config, &mut ExecScratch::new(), Some(&mut carry))
+    }
+
+    #[test]
+    fn each_streaming_fault_kind_maps_to_its_detection() {
+        // Over this chunk the window executes 33 ops; ops 15..=30 are the
+        // loop's second trip, whose destinations already hold a value, so
+        // dropping one of their stores leaves a stale stream behind.
+        let chunk = b"xabcbcd abcbc";
+        let clean = faulted_window(chunk, None, true).unwrap();
+        let mut flips_caught = 0;
+        for seed in [0u64, 3, 0x1_0005] {
+            for trigger in 1..=33u32 {
+                let run = |kind, cross_check| {
+                    faulted_window(chunk, Some(FaultPlan { kind, trigger, seed }), cross_check)
+                };
+                let at = format!("trigger {trigger} seed {seed}");
+                if (15..=30).contains(&trigger) {
+                    let err = run(FaultKind::SkipBarrier, false).unwrap_err();
+                    assert!(matches!(err, ExecError::StoreElided { .. }), "{at}: {err}");
+                }
+                let err = run(FaultKind::CorruptCounter, false).unwrap_err();
+                assert!(matches!(err, ExecError::CounterMismatch { .. }), "{at}: {err}");
+                let err = run(FaultKind::CorruptTrips, true).unwrap_err();
+                assert_eq!(err, ExecError::CarryDiverged, "{at}");
+                match run(FaultKind::SmemFlip, true) {
+                    Err(e) => {
+                        assert!(matches!(e, ExecError::CrossCheckMismatch { .. }), "{at}: {e}");
+                        flips_caught += 1;
+                    }
+                    Ok(out) => assert_eq!(out.outputs, clean.outputs, "{at}: masked flip"),
+                }
+                let panicked = std::panic::catch_unwind(|| run(FaultKind::Panic, false));
+                assert!(panicked.is_err(), "{at}: injected panic did not fire");
+            }
+        }
+        // The flip drill is not vacuous: some flips land on live bits.
+        assert!(flips_caught > 0, "no SmemFlip was ever detected");
+    }
+
+    #[test]
+    fn streaming_metrics_are_pinned() {
+        // Modelled counters of the sequential walk, summed over a chunked
+        // stream of a `while`-loop pattern. Values are fixed so a change
+        // that moves any modelled number fails here, in either direction.
+        let prog = lower(&parse("a(bc)*d").unwrap());
+        let input = b"xabcbcd ad abcbcbcd abc zzzz abcd";
+        let config = ExecConfig::default();
+        let pinned = |chunk: usize| {
+            let mut carry = CarryState::for_program(&prog);
+            let mut scratch = ExecScratch::new();
+            let mut total = ExecMetrics::default();
+            for c in input.chunks(chunk) {
+                let out = execute_prepared_with(
+                    &prog,
+                    &Basis::transpose(c),
+                    &config,
+                    &mut scratch,
+                    Some(&mut carry),
+                )
+                .unwrap();
+                let m = out.metrics;
+                assert_eq!(
+                    ExecMetrics {
+                        counters: Default::default(),
+                        peak_materialized_bytes: 0,
+                        ..m.clone()
+                    },
+                    ExecMetrics { segments: 1, threads: 64, ..ExecMetrics::default() }
+                );
+                total.counters += &m.counters;
+                total.peak_materialized_bytes =
+                    total.peak_materialized_bytes.max(m.peak_materialized_bytes);
+                total.segments = m.segments;
+                total.threads = m.threads;
+                carry.rotate();
+            }
+            total
+        };
+        let expect = |alu_ops, loads, stores, barriers, reductions, skipped_ops, peak| {
+            ExecMetrics {
+                counters: bitgen_gpu::CtaCounters {
+                    alu_ops,
+                    global_load_words: loads,
+                    global_store_words: stores,
+                    barriers,
+                    reductions,
+                    skipped_ops,
+                    ..Default::default()
+                },
+                segments: 1,
+                peak_materialized_bytes: peak,
+                threads: 64,
+                ..ExecMetrics::default()
+            }
+        };
+        assert_eq!(pinned(1), expect(2081, 1946, 662, 662, 71, 0, 17));
+        assert_eq!(pinned(7), expect(366, 389, 151, 151, 18, 0, 17));
+    }
+
+    #[test]
+    fn sequential_batch_metrics_are_pinned() {
+        // Whole-stream sequential segments, plus a zero-block-guarded
+        // program on sparse input so skipped `if` bodies are counted too.
+        let input: Vec<u8> = b"abcbcd ad zz".iter().cycle().take(600).copied().collect();
+        let sparse: Vec<u8> = (0..600).map(|i| if i % 97 == 5 { b'a' } else { b'z' }).collect();
+        let prog = lower(&parse("a(bc)*d").unwrap());
+        let config = ExecConfig { scheme: Scheme::Sequential, threads: 4, ..ExecConfig::default() };
+        let mut guarded = prog.clone();
+        apply_transforms(&mut guarded, &ExecConfig { scheme: Scheme::Zbs, ..config });
+        let expect = |counters, segments, intermediates, peak| ExecMetrics {
+            counters,
+            segments,
+            intermediates,
+            peak_materialized_bytes: peak,
+            threads: 4,
+            ..ExecMetrics::default()
+        };
+        let counters = |alu_ops, loads, stores, barriers, reductions, skipped_ops| {
+            bitgen_gpu::CtaCounters {
+                alu_ops,
+                global_load_words: loads,
+                global_store_words: stores,
+                barriers,
+                reductions,
+                skipped_ops,
+                ..Default::default()
+            }
+        };
+        let run = |prog: &Program, input: &[u8]| {
+            execute_prepared(prog, &Basis::transpose(input), &config).unwrap().metrics
+        };
+        assert_eq!(run(&prog, &input), expect(counters(380, 1577, 627, 33, 4, 0), 13, 11, 1292));
+        assert_eq!(run(&guarded, &sparse), expect(counters(300, 893, 323, 17, 5, 25), 13, 9, 1064));
     }
 }

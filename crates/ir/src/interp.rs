@@ -1,9 +1,12 @@
-//! Whole-stream reference interpreter for bitstream programs.
+//! Whole-stream reference interpreter for bitstream programs, and the one
+//! sequential walker behind it.
 //!
 //! Executes a [`Program`] one instruction at a time over full-length
 //! [`BitStream`]s — the semantics every GPU execution scheme must agree
 //! with. Also records the loop trip counts used to validate the dynamic
-//! overlap analysis.
+//! overlap analysis. The walk itself ([`Registers::walk`]) also runs the
+//! executor's sequential segments and streaming windows, which attach a
+//! [`WalkObserver`] for modelled costs and fault injection.
 
 use crate::carry::{carry_slot_count, CarryState};
 use crate::control::{Interrupt, RunControl};
@@ -168,33 +171,186 @@ pub fn try_interpret_chunk(
     ctl: &RunControl,
     carry: &mut CarryState,
 ) -> Result<InterpResult, InterpError> {
-    run_env(program, basis, ctl, Some(CarryRun { state: carry, next: 0 }))
+    run_env(program, basis, ctl, Some(carry))
 }
 
 fn run_env(
     program: &Program,
     basis: &Basis,
     ctl: &RunControl,
-    carry: Option<CarryRun<'_>>,
+    carry: Option<&mut CarryState>,
 ) -> Result<InterpResult, InterpError> {
-    let len = Program::stream_len(basis.len());
-    let mut env = Env {
-        vars: vec![None; program.num_streams() as usize],
-        cc: vec![None; program.num_streams() as usize],
-        basis,
-        len,
-        loop_trips: 0,
-        ops_executed: 0,
-        carry,
-    };
-    env.run(program.stmts(), ctl)?;
+    let mut regs = Registers::new();
+    regs.reset(program.num_streams() as usize);
+    let walk = regs.walk(program.stmts(), basis, ctl, carry, &mut ())?;
     let mut outputs = Vec::with_capacity(program.outputs().len());
     for &id in program.outputs() {
-        outputs.push(env.get(id)?.clone());
+        outputs.push(regs.get(id).ok_or(InterpError::UnwrittenStream { id })?.clone());
     }
-    Ok(InterpResult { outputs, loop_trips: env.loop_trips, ops_executed: env.ops_executed })
+    Ok(InterpResult { outputs, loop_trips: walk.loop_trips, ops_executed: walk.ops_executed })
 }
 
+/// Hooks into [`Registers::walk`], the one sequential walker. Every
+/// method defaults to a no-op and `()` is the no-op observer, so the
+/// reference paths monomorphise to the bare walk; the executor's
+/// observer adds modelled costs and fault injection.
+pub trait WalkObserver {
+    /// An instruction is about to run, before its operands are read.
+    /// `circuit` is the compiled class circuit of a `MatchCc` (the
+    /// walker's cached copy), `None` for every other op.
+    fn issue(&mut self, _op: &Op, _circuit: Option<&CcExpr>) {}
+
+    /// A guard was tested: once per `if`, and once per `while` test (each
+    /// trip plus the exiting test).
+    fn guard(&mut self) {}
+
+    /// An `if` body was skipped because its guard was empty and no carry
+    /// inside it was pending.
+    fn skip(&mut self, _body: &[Stmt]) {}
+
+    /// An instruction computed `value` and is about to store it; `carry`
+    /// is the window's carry state when streaming. Returning `false`
+    /// drops the store, leaving the destination's previous value (or no
+    /// value) in place.
+    fn store(&mut self, _value: &mut BitStream, _carry: Option<&mut CarryState>) -> bool {
+        true
+    }
+}
+
+impl WalkObserver for () {}
+
+/// What one [`Registers::walk`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Walk {
+    /// `while` trips executed, summed over all loops.
+    pub loop_trips: usize,
+    /// Instructions executed (loop bodies counted per trip).
+    pub ops_executed: usize,
+    /// Carry slots walked in pre-order (0 without a carry state).
+    pub carry_slots: usize,
+}
+
+/// The sequential walker's dense register file: one stream per
+/// [`StreamId`], class circuits compiled once per destination, and a pool
+/// of spare buffers that instructions compute into.
+///
+/// A register file kept across runs recycles its buffers: [`reset`]
+/// turns the previous run's streams into spares, so repeated runs of one
+/// program over same-sized inputs reach a steady state with no heap
+/// growth.
+///
+/// [`reset`]: Registers::reset
+#[derive(Debug, Clone, Default)]
+pub struct Registers {
+    vars: Vec<Option<BitStream>>,
+    /// Per-destination compiled class circuits, keyed by the address of
+    /// the `MatchCc` op's class (stable while the run's program is
+    /// borrowed): loop trips re-execute the same op many times, so the
+    /// circuit is compiled once and revalidated by key on each hit.
+    cc: Vec<Option<(usize, CcExpr)>>,
+    spare: Vec<BitStream>,
+}
+
+impl Registers {
+    /// An empty register file with no buffers.
+    pub fn new() -> Registers {
+        Registers::default()
+    }
+
+    /// Starts a run over `num_streams` registers, all unwritten: the
+    /// previous run's streams become the spares (spares it left unused
+    /// are freed, so the pool stays at one run's working set) and cached
+    /// circuits are dropped (their keys point into the previous run's
+    /// program).
+    pub fn reset(&mut self, num_streams: usize) {
+        self.spare.clear();
+        self.spare.extend(self.vars.drain(..).flatten());
+        self.vars.resize(num_streams, None);
+        self.cc.clear();
+        self.cc.resize(num_streams, None);
+    }
+
+    /// The value of register `id`, if this run wrote it.
+    pub fn get(&self, id: StreamId) -> Option<&BitStream> {
+        self.vars[id.index()].as_ref()
+    }
+
+    /// Writes register `id`; its previous value becomes a spare.
+    pub fn set(&mut self, id: StreamId, value: BitStream) {
+        if let Some(old) = self.vars[id.index()].replace(value) {
+            self.spare.push(old);
+        }
+    }
+
+    /// A zeroed stream of `len` bits, reusing a spare buffer if one is
+    /// available.
+    pub fn take_zeros(&mut self, len: usize) -> BitStream {
+        let mut s = self.spare.pop().unwrap_or_else(|| BitStream::zeros(0));
+        s.reset_zeros(len);
+        s
+    }
+
+    /// Bytes of the streams written since the last [`Registers::reset`].
+    pub fn resident_bytes(&self) -> usize {
+        self.vars.iter().flatten().map(|s| s.len().div_ceil(8)).sum()
+    }
+
+    /// Words of capacity held by all buffers, written and spare. Stable
+    /// across repeated runs over same-sized inputs, which reuse tests
+    /// assert.
+    pub fn pooled_words(&self) -> usize {
+        self.buffers().map(BitStream::capacity_words).sum()
+    }
+
+    /// Number of buffers held, written and spare.
+    pub fn pooled_streams(&self) -> usize {
+        self.buffers().count()
+    }
+
+    fn buffers(&self) -> impl Iterator<Item = &BitStream> {
+        self.vars.iter().flatten().chain(&self.spare)
+    }
+
+    /// Runs `stmts` one instruction at a time over whole streams of
+    /// `basis.len() + 1` positions, reporting each step to `obs`.
+    ///
+    /// Registers must already hold every stream `stmts` reads from
+    /// outside (a program walk starts from [`Registers::reset`]). With
+    /// `carry`, shift and add carries are read from and accumulated into
+    /// the window's carry state in pre-order slot order, exactly as
+    /// [`try_interpret_chunk`] describes; `ctl` is polled once per
+    /// statement.
+    ///
+    /// # Errors
+    ///
+    /// An interrupt from `ctl`, a read of an unwritten register, or a
+    /// `while` loop past its fixpoint bound.
+    pub fn walk<O: WalkObserver>(
+        &mut self,
+        stmts: &[Stmt],
+        basis: &Basis,
+        ctl: &RunControl,
+        carry: Option<&mut CarryState>,
+        obs: &mut O,
+    ) -> Result<Walk, InterpError> {
+        let mut walker = Walker {
+            regs: self,
+            basis,
+            len: Program::stream_len(basis.len()),
+            ctl,
+            carry: carry.map(|state| CarryRun { state, next: 0 }),
+            obs,
+            walk: Walk::default(),
+        };
+        walker.run(stmts)?;
+        let mut walk = walker.walk;
+        walk.carry_slots = walker.carry.map_or(0, |c| c.next);
+        Ok(walk)
+    }
+}
+
+/// The streaming slot walk — see [`CarryState::for_program`] for the
+/// layout contract.
 struct CarryRun<'a> {
     state: &'a mut CarryState,
     next: usize,
@@ -208,41 +364,21 @@ impl CarryRun<'_> {
     }
 }
 
-struct Env<'a> {
-    vars: Vec<Option<BitStream>>,
-    /// Per-destination compiled class circuits, keyed by the address of
-    /// the `MatchCc` op's class (stable for the duration of the run):
-    /// loop trips re-execute the same op many times, so the circuit is
-    /// compiled once and revalidated by key on each hit.
-    cc: Vec<Option<(usize, CcExpr)>>,
+struct Walker<'a, O> {
+    regs: &'a mut Registers,
     basis: &'a Basis,
     len: usize,
-    loop_trips: usize,
-    ops_executed: usize,
+    ctl: &'a RunControl,
     carry: Option<CarryRun<'a>>,
+    obs: &'a mut O,
+    walk: Walk,
 }
 
-/// Whether `op` reads the stream it writes — in that case the
-/// destination's old buffer is an operand and cannot be recycled.
-fn reads_own_dst(op: &Op, dst: usize) -> bool {
-    match op {
-        Op::And { a, b, .. }
-        | Op::Or { a, b, .. }
-        | Op::Xor { a, b, .. }
-        | Op::Add { a, b, .. } => a.index() == dst || b.index() == dst,
-        Op::Not { src, .. }
-        | Op::Advance { src, .. }
-        | Op::Retreat { src, .. }
-        | Op::Assign { src, .. } => src.index() == dst,
-        Op::MatchCc { .. } | Op::Zero { .. } | Op::Ones { .. } => false,
-    }
-}
-
-impl Env<'_> {
-    fn run(&mut self, stmts: &[Stmt], ctl: &RunControl) -> Result<(), InterpError> {
+impl<O: WalkObserver> Walker<'_, O> {
+    fn run(&mut self, stmts: &[Stmt]) -> Result<(), InterpError> {
         for stmt in stmts {
-            if !ctl.is_unlimited() {
-                ctl.check()?;
+            if !self.ctl.is_unlimited() {
+                self.ctl.check()?;
             }
             match stmt {
                 Stmt::Op(op) => self.exec(op)?,
@@ -252,13 +388,15 @@ impl Env<'_> {
                     // if the guard is locally empty. Skipping leaves the
                     // body's outgoing carries zero, which is exactly the
                     // no-marker semantics.
+                    self.obs.guard();
                     let (pending, layout) = self.body_carry(body);
-                    if self.get(*cond)?.any() || pending {
-                        self.run(body, ctl)?;
-                    } else if let (Some(run), Some((start, count))) =
-                        (&mut self.carry, layout)
-                    {
-                        run.next = start + count;
+                    if fetch(&self.regs.vars, *cond)?.any() || pending {
+                        self.run(body)?;
+                    } else {
+                        self.obs.skip(body);
+                        if let (Some(run), Some((start, count))) = (&mut self.carry, layout) {
+                            run.next = start + count;
+                        }
                     }
                 }
                 Stmt::While { cond, body } => {
@@ -273,7 +411,7 @@ impl Env<'_> {
                         if let (Some(run), Some((start, _))) = (&mut self.carry, layout) {
                             run.next = start;
                         }
-                        if !(self.get(*cond)?.any() || force) {
+                        if !(fetch(&self.regs.vars, *cond)?.any() || force) {
                             break;
                         }
                         force = false;
@@ -281,9 +419,11 @@ impl Env<'_> {
                             return Err(InterpError::FixpointDiverged);
                         }
                         fuel -= 1;
-                        self.loop_trips += 1;
-                        self.run(body, ctl)?;
+                        self.walk.loop_trips += 1;
+                        self.obs.guard();
+                        self.run(body)?;
                     }
+                    self.obs.guard();
                     if let (Some(run), Some((start, count))) = (&mut self.carry, layout) {
                         run.next = start + count;
                     }
@@ -294,41 +434,52 @@ impl Env<'_> {
     }
 
     fn exec(&mut self, op: &Op) -> Result<(), InterpError> {
-        self.ops_executed += 1;
+        self.walk.ops_executed += 1;
+        let (len, basis) = (self.len, self.basis);
         let dst = op.dst().index();
-        // Loop trips rewrite the same destinations over and over, so the
-        // destination's previous buffer is recycled as the output unless
-        // the op also reads it.
-        let mut reuse =
-            if reads_own_dst(op, dst) { None } else { self.vars[dst].take() };
-        let mut out = reuse.take().unwrap_or_else(|| BitStream::zeros(self.len));
-        let value = match op {
+        let regs = &mut *self.regs;
+        let circuit = match op {
             Op::MatchCc { class, .. } => {
+                let key = class as *const _ as usize;
+                let cached = &mut regs.cc[dst];
+                if cached.as_ref().map(|(k, _)| *k) != Some(key) {
+                    *cached = Some((key, compile_class(class)));
+                }
+                cached.as_ref().map(|(_, cc)| cc)
+            }
+            _ => None,
+        };
+        self.obs.issue(op, circuit);
+        // Values are computed into a spare buffer, never the
+        // destination's own, so an op may read the stream it writes and
+        // a dropped store leaves the previous value intact. Ops that
+        // return a fresh stream drop `out`, retiring one spare so the
+        // pool stays at one buffer per register written.
+        let mut out = regs.spare.pop().unwrap_or_else(|| BitStream::zeros(len));
+        let vars = &regs.vars;
+        let mut value = match op {
+            Op::MatchCc { .. } => {
                 // Evaluated straight into a window-length stream: the
                 // circuit runs word-group at a time with no per-node
-                // temporaries, and the peek position stays clear. The
-                // compiled circuit is cached per destination.
-                if out.len() != self.len {
-                    out.reset_zeros(self.len);
+                // temporaries, and the peek position stays clear.
+                if out.len() != len {
+                    out.reset_zeros(len);
                 }
-                let key = class as *const _ as usize;
-                if self.cc[dst].as_ref().map(|(k, _)| *k) != Some(key) {
-                    self.cc[dst] = Some((key, compile_class(class)));
+                if let Some(cc) = circuit {
+                    cc.eval_into(basis, &mut out);
                 }
-                let (_, cc) = self.cc[dst].as_ref().expect("circuit cached above");
-                cc.eval_into(self.basis, &mut out);
                 out
             }
             Op::And { a, b, .. } => {
-                fetch(&self.vars, *a)?.and_into(fetch(&self.vars, *b)?, &mut out);
+                fetch(vars, *a)?.and_into(fetch(vars, *b)?, &mut out);
                 out
             }
             Op::Or { a, b, .. } => {
-                fetch(&self.vars, *a)?.or_into(fetch(&self.vars, *b)?, &mut out);
+                fetch(vars, *a)?.or_into(fetch(vars, *b)?, &mut out);
                 out
             }
             Op::Add { a, b, .. } => {
-                let (sa, sb) = (fetch(&self.vars, *a)?, fetch(&self.vars, *b)?);
+                let (sa, sb) = (fetch(vars, *a)?, fetch(vars, *b)?);
                 match &mut self.carry {
                     Some(run) => {
                         let slot = run.take_slot();
@@ -341,16 +492,16 @@ impl Env<'_> {
                 }
             }
             Op::Xor { a, b, .. } => {
-                fetch(&self.vars, *a)?.xor_into(fetch(&self.vars, *b)?, &mut out);
+                fetch(vars, *a)?.xor_into(fetch(vars, *b)?, &mut out);
                 out
             }
             Op::Not { src, .. } => {
-                fetch(&self.vars, *src)?.not_into(&mut out);
+                fetch(vars, *src)?.not_into(&mut out);
                 out
             }
             Op::Advance { src, amount, .. } => {
                 let k = *amount as usize;
-                let s = fetch(&self.vars, *src)?;
+                let s = fetch(vars, *src)?;
                 match &mut self.carry {
                     Some(run) => {
                         let slot = run.take_slot();
@@ -363,20 +514,24 @@ impl Env<'_> {
                 }
             }
             Op::Retreat { src, amount, .. } => {
-                fetch(&self.vars, *src)?.retreat_into(*amount as usize, &mut out);
+                fetch(vars, *src)?.retreat_into(*amount as usize, &mut out);
                 out
             }
             Op::Assign { src, .. } => {
-                out.copy_from(fetch(&self.vars, *src)?);
+                out.copy_from(fetch(vars, *src)?);
                 out
             }
             Op::Zero { .. } => {
-                out.reset_zeros(self.len);
+                out.reset_zeros(len);
                 out
             }
-            Op::Ones { .. } => BitStream::ones(self.len),
+            Op::Ones { .. } => BitStream::ones(len),
         };
-        self.vars[dst] = Some(value);
+        if self.obs.store(&mut value, self.carry.as_mut().map(|run| &mut *run.state)) {
+            regs.set(op.dst(), value);
+        } else {
+            regs.spare.push(value);
+        }
         Ok(())
     }
 
@@ -392,14 +547,10 @@ impl Env<'_> {
             }
         }
     }
-
-    fn get(&self, id: StreamId) -> Result<&BitStream, InterpError> {
-        fetch(&self.vars, id)
-    }
 }
 
-/// [`Env::get`] without borrowing the whole environment, so ops can hold
-/// a stream reference while mutating the carry state.
+/// A written register's value, borrowing only the register vector so ops
+/// can hold stream references while mutating the carry state.
 fn fetch(vars: &[Option<BitStream>], id: StreamId) -> Result<&BitStream, InterpError> {
     vars[id.index()].as_ref().ok_or(InterpError::UnwrittenStream { id })
 }

@@ -9,7 +9,9 @@
 //! - [`ProgramBuilder`]: incremental construction;
 //! - [`lower`] / [`lower_group`]: the Fig. 2 lowering rules;
 //! - [`interpret`]: the whole-stream reference interpreter (the semantics
-//!   every execution scheme must reproduce);
+//!   every execution scheme must reproduce), built on [`Registers::walk`],
+//!   the one sequential walker, which executors observe through
+//!   [`WalkObserver`];
 //! - [`ProgramStats`]: Table 1 instruction counts;
 //! - [`DefUse`]: def/use analysis for the passes;
 //! - [`pretty`]: Listing-3-style printing.
@@ -45,12 +47,15 @@ pub use analysis::DefUse;
 pub use builder::ProgramBuilder;
 pub use carry::{carry_slot_count, CarryError, CarryState};
 pub use control::{CancelToken, Interrupt, RunControl};
-pub use interp::{interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult};
+pub use interp::{
+    interpret, try_interpret, try_interpret_chunk, InterpError, InterpResult, Registers, Walk,
+    WalkObserver,
+};
 pub use limits::{CompileLimits, LimitError};
 pub use lower::{
     lower, lower_group, lower_group_checked, lower_group_with, strip_nullable, LowerOptions,
 };
 pub use pretty::pretty;
-pub use program::{Op, Program, Stmt, StreamId};
+pub use program::{op_count, Op, Program, Stmt, StreamId};
 pub use stats::ProgramStats;
 pub use verify::{verify, VerifyError};

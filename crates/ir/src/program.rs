@@ -275,9 +275,7 @@ impl Program {
 
     /// Total number of instructions (not counting control-flow headers).
     pub fn op_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_op(&mut |_| n += 1);
-        n
+        op_count(&self.stmts)
     }
 
     /// Number of `while` statements anywhere in the program.
@@ -328,6 +326,18 @@ impl Program {
         });
         seen
     }
+}
+
+/// Number of instructions in `stmts`, `if`/`while` bodies included
+/// (control-flow headers are not instructions).
+pub fn op_count(stmts: &[Stmt]) -> usize {
+    stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::Op(_) => 1,
+            Stmt::If { body, .. } | Stmt::While { body, .. } => op_count(body),
+        })
+        .sum()
 }
 
 #[cfg(test)]
